@@ -12,7 +12,9 @@
 //! `127.0.0.1:0` — the traffic still crosses real loopback TCP sockets,
 //! which is what the `net-smoke` CI lane runs. The process exits
 //! nonzero on any wrong read (read-your-writes violation over the
-//! wire) or if no requests complete — the lost-write/panic gate.
+//! wire), if no requests complete — the lost-write/panic gate — or if
+//! any request is shed `DEGRADED`: the run injects no faults, so a
+//! degraded bank is a false alarm.
 //!
 //! # Batched rows (`net_batch.*`)
 //!
@@ -47,7 +49,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use twod_cache::{CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig, TwoDScheme};
+use twod_cache::{CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig};
 
 /// With the `count-allocs` feature this binary runs under the counting
 /// allocator, so the `net_batch.allocs_per_op` row carries a real
@@ -74,8 +76,9 @@ fn bench_rows_json(
     batch: &BatchMetrics,
 ) -> String {
     let mut rows: Vec<BenchRow> = [
-        // Mean ns per request — the throughput row (1e9 / mean_ns =
-        // requests/sec); tail rows carry the percentile latencies.
+        // Mean per-request round-trip latency in ns (batch time / batch
+        // size) — not throughput; tail rows carry the percentile
+        // latencies.
         ("ops", r.mean_ns, r.ops),
         ("p50", r.p50_ns as f64, r.ops),
         ("p99", r.p99_ns as f64, r.ops),
@@ -144,11 +147,7 @@ fn run_batch_harness(seed: u64) -> BatchMetrics {
     let config = CacheConfig {
         sets: 256,
         ways: 4,
-        data_scheme: TwoDScheme::l1_paper(),
-        tag_scheme: TwoDScheme {
-            data_bits: 50,
-            ..TwoDScheme::l1_paper()
-        },
+        ..CacheConfig::l1_64kb()
     };
     let cache = Arc::new(ConcurrentBankedCache::new(config, 4));
     let server = CacheServer::spawn(
@@ -302,11 +301,7 @@ fn main() {
         let config = CacheConfig {
             sets: 64,
             ways: 4,
-            data_scheme: TwoDScheme::l1_paper(),
-            tag_scheme: TwoDScheme {
-                data_bits: 50,
-                ..TwoDScheme::l1_paper()
-            },
+            ..CacheConfig::l1_64kb()
         };
         let cache = Arc::new(ConcurrentBankedCache::new(config, banks));
         let scrubber = Arc::new(Scrubber::spawn(
@@ -389,11 +384,7 @@ fn main() {
             let config = CacheConfig {
                 sets: 64,
                 ways: 4,
-                data_scheme: TwoDScheme::l1_paper(),
-                tag_scheme: TwoDScheme {
-                    data_bits: 50,
-                    ..TwoDScheme::l1_paper()
-                },
+                ..CacheConfig::l1_64kb()
             };
             let cache = Arc::new(ConcurrentBankedCache::new(config, banks));
             CacheServer::spawn(cache, None, "127.0.0.1:0", ServerConfig::default()).unwrap_or_else(
@@ -417,13 +408,16 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "  {} ops -> {:.0} req/s, p50 {} ns, p99 {} ns, p999 {} ns, {} wrong read(s)",
+        "  {} ops -> {:.0} req/s, p50 {} ns, p99 {} ns, p999 {} ns, \
+         {} verified read(s), {} wrong read(s), {} degraded",
         sharded.ops,
         sharded.throughput_ops_per_sec,
         sharded.p50_ns,
         sharded.p99_ns,
         sharded.p999_ns,
+        sharded.verified_reads,
         sharded.wrong_reads,
+        sharded.degraded,
     );
     for server in shard_servers {
         server.shutdown();
@@ -464,6 +458,15 @@ fn main() {
         );
         std::process::exit(1);
     }
+    if report.degraded > 0 || sharded.degraded > 0 {
+        // No fault is ever injected here, so no engine evidence can
+        // justify degrading a bank: any DEGRADED shed is a false alarm.
+        eprintln!(
+            "net_load FAILED: {} request(s) shed DEGRADED on a fault-free cache",
+            report.degraded + sharded.degraded,
+        );
+        std::process::exit(1);
+    }
     if batch.locks_per_op >= 0.2 {
         eprintln!(
             "net_load FAILED: {:.4} bank lock(s)/op on the batched path (budget < 0.2)",
@@ -480,7 +483,8 @@ fn main() {
         }
     }
     println!(
-        "net_load healthy: zero wrong reads over {} verified ({} sharded ops)",
+        "net_load healthy: zero wrong reads and zero DEGRADED sheds over {} verified \
+         ({} sharded ops)",
         report.verified_reads, sharded.ops,
     );
 }

@@ -14,7 +14,7 @@
 use cachesim::net::{CacheServer, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
-use twod_cache::{CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig, TwoDScheme};
+use twod_cache::{CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,11 +72,7 @@ fn main() {
     let config = CacheConfig {
         sets,
         ways,
-        data_scheme: TwoDScheme::l1_paper(),
-        tag_scheme: TwoDScheme {
-            data_bits: 50,
-            ..TwoDScheme::l1_paper()
-        },
+        ..CacheConfig::l1_64kb()
     };
     let cache = Arc::new(ConcurrentBankedCache::new(config, banks));
     let scrubber = scrubber_on.then(|| {

@@ -15,7 +15,7 @@ use cachesim::ZipfSampler;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
-use twod_cache::{CacheConfig, ConcurrentBankedCache, TwoDScheme};
+use twod_cache::{CacheConfig, ConcurrentBankedCache};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -52,11 +52,7 @@ fn batched_serve_path_is_allocation_free_and_lock_amortized() {
     let config = CacheConfig {
         sets: 256,
         ways: 4,
-        data_scheme: TwoDScheme::l1_paper(),
-        tag_scheme: TwoDScheme {
-            data_bits: 50,
-            ..TwoDScheme::l1_paper()
-        },
+        ..CacheConfig::l1_64kb()
     };
     let cache = Arc::new(ConcurrentBankedCache::new(config, 4));
     let server = CacheServer::spawn(

@@ -65,8 +65,8 @@ pub use protected::{
 };
 pub use runner::{figure5, figure5_average, figure6, Fig5Row, Fig6Row, DEFAULT_CYCLES};
 pub use service::campaign::{
-    run_campaign, CampaignConfig, CampaignOutcome, CampaignReport, CampaignTiming, FaultScenario,
-    PhaseOutcome,
+    run_campaign, scrub_and_inject, CampaignConfig, CampaignOutcome, CampaignReport,
+    CampaignTiming, FaultScenario, PhaseOutcome,
 };
 pub use service::net;
 pub use service::net::{CacheServer, NetClient, ServerConfig, ServerError, ServerStats};

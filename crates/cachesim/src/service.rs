@@ -1,28 +1,37 @@
 //! Multi-threaded traffic driver for the concurrent sharded cache
-//! service.
+//! service, and the campaigns built on it.
 //!
-//! The ROADMAP's north star is serving heavy traffic from many clients
-//! as fast as the hardware allows; this module is the harness that
-//! measures it. Worker threads replay seeded, pre-generated access
-//! streams (uniform, Zipf, or hot-set popularity — see
-//! [`crate::ZipfSampler`] / [`crate::HotSetSampler`]) against a shared
-//! [`ConcurrentBankedCache`], optionally while a fault-storm thread
-//! injects clustered errors into live banks. The driver reports
-//! throughput (ops/sec), verifies read-your-writes per address along the
-//! way, and is deterministic per `(seed, threads)` in the streams it
-//! offers (the interleaving across threads is, of course, up to the
-//! scheduler).
+//! Worker threads replay seeded, pre-generated access streams (uniform,
+//! Zipf, or hot-set popularity — see [`crate::ZipfSampler`] /
+//! [`crate::HotSetSampler`]) against a shared [`ConcurrentBankedCache`],
+//! optionally while a fault-storm thread injects events of one
+//! [`FaultScenario`] into live banks. A run reports throughput
+//! (ops/sec), verifies read-your-writes per address along the way, and
+//! is deterministic per `(seed, threads)` in the streams it offers (the
+//! interleaving across threads is, of course, up to the scheduler).
 //!
 //! Address ownership: each thread *writes* only lines it owns (a hashed
 //! partition of the line space) but *reads* every line. Owned reads are
 //! verified against the thread's private model of its own writes — a
 //! per-address read-your-writes check that holds under any thread
 //! interleaving precisely because owners are exclusive writers.
+//!
+//! Two pieces are shared across this module:
+//!
+//! * **One fault injector.** [`campaign::scrub_and_inject`] is the only
+//!   code that places faults: it scrubs the target bank, then places one
+//!   [`FaultScenario`] event. The in-process campaign, the traffic
+//!   storm ([`run_traffic_with_storm`]) and the network chaos storms
+//!   ([`net::chaos`]) all go through it.
+//! * **One verified client loop** for network traffic
+//!   ([`net::loadgen`]): the load generator and both network chaos
+//!   phases run it over a [`net::NetClient`] or a [`net::ShardedClient`].
 
 pub mod campaign;
 pub mod net;
 
 use crate::{HotSetSampler, ZipfSampler};
+use campaign::{scrub_and_inject, FaultScenario};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,17 +103,17 @@ pub enum Op {
 }
 
 /// Fault-storm side-load: while workers run, an injector thread fires
-/// clustered errors into the given banks, exercising recovery under
-/// live traffic.
+/// events of one [`FaultScenario`] into the given banks through
+/// [`scrub_and_inject`], exercising recovery under live traffic.
 #[derive(Clone, Debug)]
 pub struct FaultStorm {
     /// Banks to target, round-robin.
     pub banks: Vec<usize>,
     /// Total injections across the run.
     pub injections: usize,
-    /// Cluster height and width per injection.
-    pub cluster: (usize, usize),
-    /// Injector RNG seed (cluster positions).
+    /// The fault shape each injection places.
+    pub scenario: FaultScenario,
+    /// Injector RNG seed (event positions).
     pub seed: u64,
 }
 
@@ -236,8 +245,9 @@ pub fn generate_ops(cfg: &TrafficConfig, thread: usize) -> Vec<Op> {
 }
 
 /// Replays one pre-generated stream against the shared cache, verifying
-/// read-your-writes on owned addresses when `verify` is set. Returns
-/// `(reads, writes, verified_reads)`.
+/// read-your-writes on owned addresses when `verify` is set, and pushing
+/// each operation's latency in nanoseconds onto `latencies` when given.
+/// Returns `(reads, writes, verified_reads)`.
 ///
 /// # Panics
 ///
@@ -250,15 +260,23 @@ pub fn replay_ops(
     thread: usize,
     threads: usize,
     verify: bool,
+    mut latencies: Option<&mut Vec<u64>>,
 ) -> (u64, u64, u64) {
     let mut model: HashMap<u64, u64> = HashMap::new();
     let (mut reads, mut writes, mut verified) = (0u64, 0u64, 0u64);
     for op in ops {
+        let begun = latencies.is_some().then(Instant::now);
+        let mut lap = || {
+            if let (Some(sink), Some(begun)) = (latencies.as_deref_mut(), begun) {
+                sink.push(begun.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            }
+        };
         match *op {
             Op::Write(addr, value) => {
                 cache
                     .write(addr, value)
                     .expect("write defeated the protection");
+                lap();
                 if verify {
                     model.insert(addr, value);
                 }
@@ -266,6 +284,7 @@ pub fn replay_ops(
             }
             Op::Read(addr) => {
                 let got = cache.read(addr).expect("read defeated the protection");
+                lap();
                 reads += 1;
                 if verify {
                     let line = addr / LINE_BYTES as u64;
@@ -285,6 +304,45 @@ pub fn replay_ops(
     (reads, writes, verified)
 }
 
+/// The storm loop behind every fault storm in this module: fires up to
+/// `injections` events through [`scrub_and_inject`], the `i`-th into
+/// bank `banks[i % banks.len()]` with scenario `deck[i % deck.len()]`,
+/// pausing `pause` after each (yielding when it is zero), and stops
+/// early once `stop` is set — but always fires at least one event, so a
+/// storm whose thread is scheduled late still injects. Returns the
+/// injections fired.
+///
+/// # Panics
+///
+/// Panics if a pre-injection scrub finds damage it cannot correct: the
+/// injection discipline no longer holds, so the run has failed.
+pub(crate) fn fire_storm(
+    cache: &ConcurrentBankedCache,
+    banks: &[usize],
+    deck: &[FaultScenario],
+    injections: usize,
+    seed: u64,
+    pause: Duration,
+    stop: &AtomicBool,
+) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut fired = 0;
+    while fired < injections {
+        let (bank, scenario) = (banks[fired % banks.len()], &deck[fired % deck.len()]);
+        scrub_and_inject(cache, bank, scenario, &mut rng)
+            .expect("pre-injection scrub found damage it could not correct");
+        fired += 1;
+        if stop.load(Ordering::Acquire) {
+            break;
+        } else if pause.is_zero() {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(pause);
+        }
+    }
+    fired
+}
+
 /// Runs `cfg.threads` workers against the shared cache and reports
 /// aggregate throughput. Streams are pre-generated outside the timed
 /// region; a barrier lines the workers up so the clock measures pure
@@ -294,10 +352,16 @@ pub fn run_traffic(cache: &ConcurrentBankedCache, cfg: &TrafficConfig) -> Servic
 }
 
 /// [`run_traffic`] with an optional concurrent fault storm: an injector
-/// thread fires `storm.injections` clustered errors into the configured
-/// banks while the workers run. All reads still verify, proving
+/// thread fires `storm.injections` events of `storm.scenario` into the
+/// configured banks while the workers run, each through
+/// [`scrub_and_inject`]. All reads still verify, proving
 /// recovery-under-load never serves wrong data and one bank's recovery
 /// does not block traffic to siblings.
+///
+/// # Panics
+///
+/// As [`replay_ops`], and if a pre-injection scrub finds damage it
+/// cannot correct (the injection discipline was broken).
 pub fn run_traffic_with_storm(
     cache: &ConcurrentBankedCache,
     cfg: &TrafficConfig,
@@ -324,59 +388,25 @@ pub fn run_traffic_with_storm(
             workers.push(s.spawn(move || {
                 barrier.wait();
                 let started = Instant::now();
-                let counts = replay_ops(cache, ops, t, threads, verify);
+                let counts = replay_ops(cache, ops, t, threads, verify, None);
                 let elapsed = started.elapsed();
                 done.store(true, Ordering::Release);
                 (counts, elapsed)
             }));
         }
         let injector = storm.map(|storm| {
-            let barrier = &barrier;
-            let done = &done;
+            let (barrier, done) = (&barrier, &done);
             s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(storm.seed);
-                let mut fired = 0usize;
                 barrier.wait();
-                for i in 0..storm.injections {
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let bank = storm.banks[i % storm.banks.len()];
-                    let (height, width) = storm.cluster;
-                    // One live clustered event per bank at a time — the
-                    // paper's error model (recovery happens between
-                    // multi-bit events). Scrubbing the target bank before
-                    // re-injuring it keeps each injection within the
-                    // scheme's H x V coverage; without this, back-to-back
-                    // clusters landing in the same stripes are
-                    // legitimately uncorrectable.
-                    cache
-                        .lock_bank(bank)
-                        .scrub()
-                        .expect("pre-injection scrub found uncorrectable damage");
-                    // Lock the bank just long enough to place the
-                    // cluster at a random in-bounds position.
-                    {
-                        let guard = cache.lock_bank(bank);
-                        let rows = guard.data_array().rows();
-                        let cols = guard.data_array().cols();
-                        drop(guard);
-                        let row = rng.gen_range(0..rows.saturating_sub(height).max(1));
-                        let col = rng.gen_range(0..cols.saturating_sub(width).max(1));
-                        cache.inject_bank_error(
-                            bank,
-                            memarray::ErrorShape::Cluster {
-                                row,
-                                col,
-                                height,
-                                width,
-                            },
-                        );
-                    }
-                    fired += 1;
-                    std::thread::yield_now();
-                }
-                fired
+                fire_storm(
+                    cache,
+                    &storm.banks,
+                    std::slice::from_ref(&storm.scenario),
+                    storm.injections,
+                    storm.seed,
+                    Duration::ZERO,
+                    done,
+                )
             })
         });
         let mut max_elapsed = Duration::ZERO;
@@ -400,18 +430,14 @@ pub fn run_traffic_with_storm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twod_cache::{CacheConfig, TwoDScheme};
+    use twod_cache::CacheConfig;
 
     fn service(banks: usize) -> ConcurrentBankedCache {
         ConcurrentBankedCache::new(
             CacheConfig {
                 sets: 16,
                 ways: 2,
-                data_scheme: TwoDScheme::l1_paper(),
-                tag_scheme: TwoDScheme {
-                    data_bits: 50,
-                    ..TwoDScheme::l1_paper()
-                },
+                ..CacheConfig::l1_64kb()
             },
             banks,
         )
@@ -494,23 +520,33 @@ mod tests {
 
     #[test]
     fn fault_storm_under_load_stays_correct() {
-        let cache = service(4);
-        let cfg = TrafficConfig {
-            threads: 2,
-            ops_per_thread: 1_500,
-            ..TrafficConfig::smoke()
-        };
-        let storm = FaultStorm {
-            banks: vec![1, 3],
-            injections: 8,
-            cluster: (8, 8),
-            seed: 99,
-        };
-        let report = run_traffic_with_storm(&cache, &cfg, Some(&storm));
-        assert_eq!(report.total_ops, cfg.ops_per_thread * cfg.threads as u64);
-        assert!(report.injections > 0, "storm must fire at least once");
-        // Clean up any damage still latent, then audit.
-        cache.scrub().unwrap();
-        assert!(cache.audit());
+        // One storm per injecting library entry, so row and column
+        // strips and L-shaped bursts reach live traffic, not just
+        // rectangles. `replay_ops` panics on any wrong owned read, so a
+        // completed run had none.
+        let deck = FaultScenario::storm_deck();
+        assert_eq!(deck.len(), FaultScenario::library().len() - 1);
+        for (i, scenario) in deck.into_iter().enumerate() {
+            let cache = service(4);
+            let cfg = TrafficConfig {
+                ops_per_thread: 1_500,
+                seed: 0x5702_0000 + i as u64,
+                ..TrafficConfig::smoke()
+            };
+            let storm = FaultStorm {
+                banks: vec![1, 3, 0, 2],
+                injections: 8,
+                scenario,
+                seed: 99 + i as u64,
+            };
+            let report = run_traffic_with_storm(&cache, &cfg, Some(&storm));
+            let name = scenario.name();
+            assert_eq!(report.total_ops, cfg.ops_per_thread * cfg.threads as u64);
+            assert!(report.injections > 0, "{name}: storm must fire");
+            assert!(report.verified_reads > 0, "{name}: nothing verified");
+            // Clean up any damage still latent, then audit.
+            cache.scrub().unwrap();
+            assert!(cache.audit(), "{name}: audit failed");
+        }
     }
 }

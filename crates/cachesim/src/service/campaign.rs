@@ -26,18 +26,21 @@
 //! scrubbed under its lock, so at most one clustered event is live per
 //! bank — the paper's error model (recovery completes between
 //! multi-bit events), and the reason every scenario in the library is
-//! within the scheme's `H x V` coverage.
+//! within the scheme's `H x V` coverage. [`scrub_and_inject`] is that
+//! discipline, and the only code in [`crate::service`] that places
+//! faults: the traffic storm ([`crate::run_traffic_with_storm`]) and
+//! the network chaos storms ([`crate::service::net::chaos`]) cycle the
+//! same deck through it.
 
-use crate::service::{generate_ops, owner_of_line, Op, TrafficConfig};
+use crate::service::{generate_ops, replay_ops, Op, TrafficConfig};
 use crate::AccessPattern;
+use memarray::EngineError;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use twod_cache::{
-    CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig, TwoDScheme, LINE_BYTES,
-};
+use twod_cache::{CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig};
 
 /// One fault scenario of the campaign library: the shape of damage a
 /// phase injects while traffic runs.
@@ -125,6 +128,16 @@ impl FaultScenario {
             },
             FaultScenario::SilentWriteHeavy,
         ]
+    }
+
+    /// The library's injecting entries, in library order: the deck the
+    /// traffic and network storms cycle through, one event per
+    /// injection.
+    pub fn storm_deck() -> Vec<FaultScenario> {
+        Self::library()
+            .into_iter()
+            .filter(|s| !matches!(s, FaultScenario::SilentWriteHeavy))
+            .collect()
     }
 }
 
@@ -221,18 +234,6 @@ impl CampaignConfig {
             // 1 wall-clock second ~ 1000 device-hours: a minute of
             // campaign models ~7 device-years of exposure.
             time_acceleration: 1000.0 * 3600.0,
-        }
-    }
-
-    fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            sets: self.sets,
-            ways: self.ways,
-            data_scheme: TwoDScheme::l1_paper(),
-            tag_scheme: TwoDScheme {
-                data_bits: 50,
-                ..TwoDScheme::l1_paper()
-            },
         }
     }
 }
@@ -427,18 +428,17 @@ struct PhaseClock {
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     assert!(!cfg.scenarios.is_empty(), "campaign needs scenarios");
     assert!(cfg.threads >= 1, "campaign needs a worker");
-    let cache = Arc::new(ConcurrentBankedCache::new(cfg.cache_config(), cfg.banks));
+    let cache = Arc::new(ConcurrentBankedCache::new(
+        CacheConfig {
+            sets: cfg.sets,
+            ways: cfg.ways,
+            ..CacheConfig::l1_64kb()
+        },
+        cfg.banks,
+    ));
     let scrubber = cfg
         .scrubber
         .map(|sc| Scrubber::spawn(Arc::clone(&cache), sc));
-    let geometry = {
-        let bank0 = cache.lock_bank(0);
-        (bank0.data_array().rows(), bank0.data_array().cols())
-    };
-    // Derive coverage from the same config the cache was built with, so
-    // a future parameterized scheme cannot diverge from the injection
-    // clamps.
-    let vertical = cfg.cache_config().data_scheme.vertical_rows.min(geometry.0);
 
     let mut outcome = CampaignOutcome {
         seed: cfg.seed,
@@ -472,30 +472,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 
     let started = Instant::now();
     'rounds: for round in 0..cfg.rounds {
-        for (si, scenario) in cfg.scenarios.iter().enumerate() {
-            let phase_seed = cfg
-                .seed
-                .wrapping_add((round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add((si as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-            // Rotate the injection base bank per phase: with a fixed
-            // base, multi-event scenarios (events() == 2) would only
-            // ever strike banks 0 and 1 and the higher banks would
-            // never see clustered recovery under traffic.
-            let bank_offset = (round as usize)
-                .wrapping_mul(cfg.scenarios.len())
-                .wrapping_add(si);
-            let (phase, clock) = run_phase(
-                &cache,
-                cfg,
-                scenario,
-                round,
-                phase_seed,
-                bank_offset,
-                geometry,
-                vertical,
-                &mut expected,
-                &uncorrectable_events,
-            );
+        for si in 0..cfg.scenarios.len() {
+            let (phase, clock) =
+                run_phase(&cache, cfg, round, si, &mut expected, &uncorrectable_events);
             outcome.total_reads += phase.reads;
             outcome.total_writes += phase.writes;
             outcome.verified_reads += phase.verified_reads;
@@ -633,19 +612,26 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 /// Runs one phase: seeded traffic on the workers, the scenario's
 /// injections (with pre-injection clean discipline and time-to-repair
 /// measurement) on an injector thread.
-#[allow(clippy::too_many_arguments)]
 fn run_phase(
     cache: &Arc<ConcurrentBankedCache>,
     cfg: &CampaignConfig,
-    scenario: &FaultScenario,
     round: u32,
-    phase_seed: u64,
-    bank_offset: usize,
-    geometry: (usize, usize),
-    vertical: usize,
+    si: usize,
     expected: &mut BTreeMap<u64, u64>,
     uncorrectable_events: &AtomicU64,
 ) -> (PhaseOutcome, PhaseClock) {
+    let scenario = &cfg.scenarios[si];
+    let phase_seed = cfg
+        .seed
+        .wrapping_add((round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add((si as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+    // Rotate the injection base bank per phase: with a fixed base,
+    // multi-event scenarios (events() == 2) would only ever strike banks
+    // 0 and 1 and the higher banks would never see clustered recovery
+    // under traffic.
+    let bank_offset = (round as usize)
+        .wrapping_mul(cfg.scenarios.len())
+        .wrapping_add(si);
     let silent = matches!(scenario, FaultScenario::SilentWriteHeavy);
     let traffic = TrafficConfig {
         threads: cfg.threads,
@@ -703,8 +689,11 @@ fn run_phase(
             let cache = &**cache;
             let threads = cfg.threads;
             workers.push(s.spawn(move || {
+                let mut latencies = Vec::with_capacity(ops.len());
                 barrier.wait();
-                replay_timed(cache, ops, t, threads)
+                let (reads, writes, verified) =
+                    replay_ops(cache, ops, t, threads, true, Some(&mut latencies));
+                (reads, writes, verified, latencies)
             }));
         }
         let injector = (events > 0).then(|| {
@@ -719,12 +708,12 @@ fn run_phase(
                 barrier.wait();
                 for k in 0..events {
                     let bank = (bank_offset + k) % cfg.banks;
-                    // Clean discipline: at most one live clustered event
-                    // per bank, so every injection is within coverage.
-                    if cache.lock_bank(bank).scrub().is_err() {
-                        uncorrectable_events.fetch_add(1, Ordering::Relaxed);
+                    match scrub_and_inject(cache, bank, scenario, &mut rng) {
+                        Ok(covered) => cells += covered,
+                        Err(_) => {
+                            uncorrectable_events.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                    cells += inject_scenario(cache, bank, scenario, geometry, vertical, &mut rng);
                     fired += 1;
                     // Time-to-repair: first observation of a clean bank.
                     let injected_at = Instant::now();
@@ -762,6 +751,37 @@ fn run_phase(
         }
     });
     (phase, clock)
+}
+
+/// The injection discipline: scrubs `bank` clean under its lock, then
+/// places one event of `scenario` into it at a seeded position,
+/// returning the number of cells covered. With at
+/// most one live event per bank, every library scenario stays within
+/// the scheme's `H x V` coverage.
+///
+/// # Errors
+///
+/// Returns the scrub's [`EngineError`] when the bank held damage it
+/// could not correct; nothing is injected into a bank in that state.
+pub fn scrub_and_inject(
+    cache: &ConcurrentBankedCache,
+    bank: usize,
+    scenario: &FaultScenario,
+    rng: &mut StdRng,
+) -> Result<u64, EngineError> {
+    let (geometry, vertical) = {
+        let mut guard = cache.lock_bank(bank);
+        guard.scrub()?;
+        let array = guard.data_array();
+        let rows = array.rows();
+        (
+            (rows, array.cols()),
+            array.vertical().interleave().min(rows),
+        )
+    };
+    Ok(inject_scenario(
+        cache, bank, scenario, geometry, vertical, rng,
+    ))
 }
 
 /// Places one injection event of `scenario` into `bank` at a seeded
@@ -872,50 +892,6 @@ fn inject_scenario(
             (arm * thickness + thickness * (arm - thickness)) as u64
         }
     }
-}
-
-/// [`crate::replay_ops`] with per-operation latency capture (always
-/// verifying): returns `(reads, writes, verified, latencies_ns)`.
-fn replay_timed(
-    cache: &ConcurrentBankedCache,
-    ops: &[Op],
-    thread: usize,
-    threads: usize,
-) -> (u64, u64, u64, Vec<u64>) {
-    let mut model: HashMap<u64, u64> = HashMap::new();
-    let (mut reads, mut writes, mut verified) = (0u64, 0u64, 0u64);
-    let mut latencies = Vec::with_capacity(ops.len());
-    for op in ops {
-        let begun = Instant::now();
-        match *op {
-            Op::Write(addr, value) => {
-                cache
-                    .write(addr, value)
-                    .expect("campaign write defeated the protection");
-                latencies.push(begun.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                model.insert(addr, value);
-                writes += 1;
-            }
-            Op::Read(addr) => {
-                let got = cache
-                    .read(addr)
-                    .expect("campaign read defeated the protection");
-                latencies.push(begun.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                reads += 1;
-                let line = addr / LINE_BYTES as u64;
-                if owner_of_line(line, threads) == thread {
-                    if let Some(&expect) = model.get(&addr) {
-                        assert_eq!(
-                            got, expect,
-                            "campaign read-your-writes violated at {addr:#x} (thread {thread})"
-                        );
-                        verified += 1;
-                    }
-                }
-            }
-        }
-    }
-    (reads, writes, verified, latencies)
 }
 
 #[cfg(test)]

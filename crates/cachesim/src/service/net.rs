@@ -1,7 +1,9 @@
 //! Network-facing cache service tier: a length-prefixed binary
 //! protocol (GET/SET/HEALTH/SCRUB-STATS) over `std::net` TCP, served by
 //! [`CacheServer`] with thread-per-connection acceptors, and consumed
-//! by [`NetClient`] / the load generator and chaos drivers.
+//! by [`NetClient`] / [`ShardedClient`]. The load generator and both
+//! chaos phases drive those clients through one verified client loop
+//! (see [`loadgen`]).
 //!
 //! This is the fourth architectural layer: sockets → admission → banks.
 //! The engine underneath
@@ -29,11 +31,11 @@
 //!   [`ServerConfig::max_inflight_per_bank`] concurrent requests;
 //!   beyond that the server answers `BUSY` with a retry-after hint
 //!   immediately. Memory stays bounded under any offered load.
-//! * **Degraded mode, not hangs:** a bank observed to be correcting or
-//!   recovering (scrubber activity, slow inline ops, uncorrectable
-//!   faults, or administrative quarantine) sheds its requests with
+//! * **Degraded mode, not hangs:** a bank with engine evidence of
+//!   damage (observed corrections or recoveries, uncorrectable faults)
+//!   or under administrative quarantine sheds its requests with
 //!   `DEGRADED` + retry-after while every other bank serves at full
-//!   throughput.
+//!   throughput. Waiting for a bank lock is not evidence.
 //! * **Deadlines everywhere:** per-connection read/write socket
 //!   timeouts bound every blocking call; connections idle past
 //!   [`ServerConfig::idle_timeout`] are reaped; a half-sent frame can

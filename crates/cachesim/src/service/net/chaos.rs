@@ -1,28 +1,39 @@
-//! The network phase of the chaos campaign: a live [`CacheServer`]
-//! under concurrent client traffic while a fault storm strikes banks, a
-//! quarantine toggles mid-run, and client connections are killed and
-//! re-established mid-storm — verifying that acknowledged writes
-//! survive every disconnect, reads are never wrong, and requests to
-//! recovering banks are shed with `BUSY`/`DEGRADED` instead of hanging
-//! or panicking.
+//! The network phases of the chaos campaign.
 //!
-//! Injection discipline matches the in-process campaign
-//! ([`crate::service::campaign`]): before every injection the target
-//! bank is scrubbed clean, so each fault event is isolated and
-//! correctable by construction — any lost write or wrong read is a real
-//! service bug, not compound-damage bad luck.
+//! * [`run_net_chaos`]: a live [`CacheServer`] under concurrent client
+//!   traffic while a fault storm strikes banks, a quarantine toggles
+//!   mid-run, and client connections are killed and re-established
+//!   mid-storm — verifying that acknowledged writes survive every
+//!   disconnect, reads are never wrong, and requests to recovering
+//!   banks are shed with `BUSY`/`DEGRADED` instead of hanging or
+//!   panicking.
+//! * [`run_shard_chaos`]: two servers behind sharded clients; one is
+//!   killed mid-storm and restarted on the same cache at a new port.
+//!
+//! Both phases reuse the two shared pieces of [`crate::service`]. The
+//! clients run the one verified loop (see [`super::loadgen`]); the
+//! kill-and-readback and directory-refresh steps are its per-batch
+//! hooks, and keys are drawn uniformly (a [`ZipfSampler`] at θ = 0).
+//! The storms cycle the injecting entries of [`FaultScenario::library`]
+//! through [`scrub_and_inject`](crate::scrub_and_inject), the same
+//! injection discipline as the in-process campaign: before every
+//! injection the target bank is scrubbed clean, so each fault event is
+//! isolated and correctable by construction — any lost write or wrong
+//! read is a real service bug, not compound-damage bad luck. A
+//! pre-injection scrub that finds uncorrectable damage fails the run.
 
 use super::client::{ClientConfig, NetClient};
-use super::protocol::{Request, Response};
+use super::loadgen::{run_connections, KeyStream, Tally};
+use super::protocol::Response;
 use super::server::{CacheServer, ServerConfig, ServerStats};
-use super::sharded::{ShardOutcome, ShardedClient};
-use memarray::ErrorShape;
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use super::sharded::ShardedClient;
+use crate::service::campaign::{CampaignConfig, FaultScenario};
+use crate::service::fire_storm;
+use crate::ZipfSampler;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use twod_cache::{CacheConfig, ConcurrentBankedCache, Scrubber, ScrubberConfig, TwoDScheme};
+use twod_cache::{CacheConfig, ConcurrentBankedCache, Scrubber};
 
 /// Configuration of one network chaos run.
 #[derive(Clone, Debug)]
@@ -83,18 +94,6 @@ impl NetChaosConfig {
             server: ServerConfig::default(),
         }
     }
-
-    fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            sets: self.sets,
-            ways: self.ways,
-            data_scheme: TwoDScheme::l1_paper(),
-            tag_scheme: TwoDScheme {
-                data_bits: 50,
-                ..TwoDScheme::l1_paper()
-            },
-        }
-    }
 }
 
 /// Result of one network chaos run. The invariants a caller must gate
@@ -142,23 +141,6 @@ pub struct NetChaosReport {
     pub server_stats: ServerStats,
 }
 
-/// Per-client tally folded into the report.
-#[derive(Default)]
-struct ClientTally {
-    ops: u64,
-    acked_writes: u64,
-    verified_reads: u64,
-    wrong_reads: u64,
-    busy_sheds: u64,
-    degraded_sheds: u64,
-    faults: u64,
-    gave_up: u64,
-    reconnects: u64,
-    reconnect_readbacks: u64,
-    /// Final model of acknowledged writes, for the readback phase.
-    model: HashMap<u64, u64>,
-}
-
 /// Runs the network chaos phase end to end: spawn server (with an
 /// aggressive scrubber), storm + quarantine + health-poll threads,
 /// `cfg.clients` killing-and-reconnecting client threads, then a final
@@ -167,10 +149,21 @@ struct ClientTally {
 /// # Panics
 ///
 /// Panics if the loopback server or a client connection cannot be
-/// established at all (environment failure, not a chaos outcome).
+/// established at all (environment failure, not a chaos outcome), or
+/// if a pre-injection scrub finds damage it cannot correct.
 pub fn run_net_chaos(cfg: &NetChaosConfig) -> NetChaosReport {
-    let cache = Arc::new(ConcurrentBankedCache::new(cfg.cache_config(), cfg.banks));
-    let scrubber = Arc::new(Scrubber::spawn(Arc::clone(&cache), chaos_scrubber_config()));
+    let cache = Arc::new(ConcurrentBankedCache::new(
+        CacheConfig {
+            sets: cfg.sets,
+            ways: cfg.ways,
+            ..CacheConfig::l1_64kb()
+        },
+        cfg.banks,
+    ));
+    let scrubber = Arc::new(Scrubber::spawn(
+        Arc::clone(&cache),
+        CampaignConfig::campaign_scrubber(),
+    ));
     let server = CacheServer::spawn(
         Arc::clone(&cache),
         Some(Arc::clone(&scrubber)),
@@ -179,88 +172,87 @@ pub fn run_net_chaos(cfg: &NetChaosConfig) -> NetChaosReport {
     )
     .expect("bind loopback chaos server");
     let addr = server.local_addr();
+    let ranks = ZipfSampler::new(cfg.key_ranks, 0.0);
+    let (banks, deck): (Vec<usize>, _) = ((0..cfg.banks).collect(), FaultScenario::storm_deck());
 
-    let stop_storm = Arc::new(AtomicBool::new(false));
-    let degraded_observed = Arc::new(AtomicBool::new(false));
+    let stop_storm = AtomicBool::new(false);
+    let degraded_observed = AtomicBool::new(false);
 
-    let mut report = NetChaosReport::default();
-    let (tallies, injections, cleared) = std::thread::scope(|scope| {
-        // Fault storm: scrub-then-inject per event, rotating banks.
-        let storm = {
-            let cache = Arc::clone(&cache);
-            let stop = Arc::clone(&stop_storm);
-            let cfg = cfg.clone();
-            scope.spawn(move || storm_loop(&cache, &cfg, &stop))
-        };
+    let (total, injections, cleared) = std::thread::scope(|scope| {
+        let storm = scope.spawn(|| {
+            let (count, seed) = (cfg.storm_injections as usize, cfg.seed ^ 0x5708_13FF);
+            fire_storm(
+                &cache,
+                &banks,
+                &deck,
+                count,
+                seed,
+                cfg.storm_interval,
+                &stop_storm,
+            )
+        });
         // Quarantine toggler: force one bank into administrative
         // degradation mid-run, then lift it.
-        {
-            let stop = Arc::clone(&stop_storm);
-            let server = &server;
-            let hold = cfg.quarantine_hold;
-            scope.spawn(move || {
-                std::thread::sleep(hold / 2);
-                if !stop.load(Ordering::Relaxed) {
-                    server.quarantine_bank(0, true);
-                    std::thread::sleep(hold);
-                    server.quarantine_bank(0, false);
-                }
-            });
-        }
+        scope.spawn(|| {
+            std::thread::sleep(cfg.quarantine_hold / 2);
+            if !stop_storm.load(Ordering::Relaxed) {
+                server.quarantine_bank(0, true);
+                std::thread::sleep(cfg.quarantine_hold);
+                server.quarantine_bank(0, false);
+            }
+        });
         // Health poller over the wire: asserts degradation is visible
         // through the HEALTH opcode while the storm runs.
-        let poller = {
-            let stop = Arc::clone(&stop_storm);
-            let observed = Arc::clone(&degraded_observed);
-            scope.spawn(move || health_poll_loop(addr, &stop, &observed))
-        };
+        let poller = scope.spawn(|| health_poll_loop(addr, &stop_storm, &degraded_observed));
 
-        let mut handles = Vec::with_capacity(cfg.clients);
-        for t in 0..cfg.clients {
-            let cfg = cfg.clone();
-            handles.push(scope.spawn(move || run_client(t, addr, &cfg)));
-        }
-        let tallies: Vec<ClientTally> = handles
-            .into_iter()
-            .map(|h| h.join().expect("chaos client thread panicked"))
+        let clients = (0..cfg.clients)
+            .map(|_| {
+                NetClient::connect_with(addr, ClientConfig::default())
+                    .expect("connect chaos client")
+            })
             .collect();
-
+        let stream = KeyStream {
+            ranks: &ranks,
+            write_fraction: cfg.write_fraction,
+            requests: cfg.ops_per_client,
+            depth: 1,
+            attempts: cfg.retry_attempts,
+            seed: cfg.seed ^ 0xDEAD_0000,
+        };
+        let total = run_connections(clients, &stream, |i, client, tally| {
+            kill_and_read_back(i, cfg, client, tally);
+            false
+        });
         stop_storm.store(true, Ordering::Relaxed);
         let injections = storm.join().expect("storm thread panicked");
         let cleared = poller.join().expect("health poller panicked");
-        (tallies, injections, cleared)
+        (total, injections, cleared)
     });
 
-    for tally in &tallies {
-        report.ops += tally.ops;
-        report.acked_writes += tally.acked_writes;
-        report.verified_reads += tally.verified_reads;
-        report.wrong_reads += tally.wrong_reads;
-        report.busy_sheds += tally.busy_sheds;
-        report.degraded_sheds += tally.degraded_sheds;
-        report.faults += tally.faults;
-        report.gave_up += tally.gave_up;
-        report.reconnects += tally.reconnects;
-        report.reconnect_readbacks += tally.reconnect_readbacks;
-    }
-    report.injections = injections;
-    report.degraded_observed = degraded_observed.load(Ordering::Relaxed);
-    report.degraded_cleared = cleared;
+    let mut report = NetChaosReport {
+        ops: total.ops,
+        acked_writes: total.acked_writes,
+        verified_reads: total.verified_reads,
+        wrong_reads: total.wrong_reads,
+        busy_sheds: total.busy,
+        degraded_sheds: total.degraded,
+        faults: total.faults,
+        gave_up: total.busy + total.degraded,
+        reconnects: total.reconnects,
+        reconnect_readbacks: total.readbacks,
+        injections: injections as u32,
+        degraded_observed: degraded_observed.load(Ordering::Relaxed),
+        degraded_cleared: cleared,
+        ..NetChaosReport::default()
+    };
 
     // Final readback: every acknowledged write must be recoverable over
     // a fresh connection, with the storm over and quarantine lifted.
     // Generous retries: the last degraded windows may still be open.
     let mut readback =
         NetClient::connect_with(addr, ClientConfig::default()).expect("readback connect");
-    for tally in &tallies {
-        for (&key, &value) in &tally.model {
-            report.readback_checked += 1;
-            match readback.get_retry(key, cfg.retry_attempts.max(16)) {
-                Ok(Response::Value(v)) if v == value => {}
-                _ => report.lost_acked_writes += 1,
-            }
-        }
-    }
+    report.readback_checked = total.model.len() as u64;
+    report.lost_acked_writes = total.lost_acked_writes(&mut readback, cfg.retry_attempts.max(16));
 
     report.server_stats = server.stats();
     server.shutdown();
@@ -273,55 +265,30 @@ pub fn run_net_chaos(cfg: &NetChaosConfig) -> NetChaosReport {
     report
 }
 
-/// Aggressive scrub cadence for the chaos run (mirrors
-/// `CampaignConfig::campaign_scrubber`, re-declared here to keep the
-/// net module independent of campaign config evolution).
-fn chaos_scrubber_config() -> ScrubberConfig {
-    ScrubberConfig {
-        threads: 2,
-        rows_per_slice: 16,
-        idle_interval: Duration::from_millis(1),
-        min_interval: Duration::from_micros(20),
-        adaptive: true,
-        time_acceleration: 1000.0 * 3600.0,
+/// The net chaos clients' per-batch hook: every `cfg.kill_every`
+/// requests, drop the connection abruptly mid-storm, reconnect, and
+/// immediately read back one acknowledged write.
+fn kill_and_read_back(i: u64, cfg: &NetChaosConfig, client: &mut NetClient, tally: &mut Tally) {
+    if i == 0
+        || cfg.kill_every == 0
+        || !i.is_multiple_of(cfg.kill_every)
+        || client.reconnect().is_err()
+    {
+        return;
     }
-}
-
-/// Storm loop: scrub the target bank clean, then inject one bounded
-/// cluster; rotate banks. Returns the number of injections performed.
-fn storm_loop(cache: &ConcurrentBankedCache, cfg: &NetChaosConfig, stop: &AtomicBool) -> u32 {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5708_13FF);
-    let (rows, cols) = {
-        let bank0 = cache.lock_bank(0);
-        (bank0.data_array().rows(), bank0.data_array().cols())
+    let Some(&key) = tally.model.keys().next() else {
+        return;
     };
-    let vertical = cfg.cache_config().data_scheme.vertical_rows.min(rows);
-    let mut injected = 0u32;
-    for i in 0..cfg.storm_injections {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let bank = (i as usize) % cache.banks();
-        // Pre-injection discipline: clear residue so this event is
-        // isolated and correctable by construction.
-        let _ = cache.scrub();
-        let height = rng.gen_range(1..=vertical.max(1).min(rows));
-        let width = rng.gen_range(1..=2usize.min(cols));
-        let row = rng.gen_range(0..=(rows - height));
-        let col = rng.gen_range(0..=(cols - width));
-        cache.inject_bank_error(
-            bank,
-            ErrorShape::Cluster {
-                row,
-                col,
-                height,
-                width,
-            },
-        );
-        injected += 1;
-        std::thread::sleep(cfg.storm_interval);
+    tally.readbacks += 1;
+    match client.get_retry(key, cfg.retry_attempts) {
+        Ok(Response::Value(v)) => tally.check(key, v),
+        Ok(Response::Busy { .. }) => tally.busy += 1,
+        Ok(Response::Degraded { .. }) => tally.degraded += 1,
+        Ok(Response::Fault) => tally.faults += 1,
+        // A transport error here surfaces on the next batch, which
+        // re-dials.
+        _ => {}
     }
-    injected
 }
 
 /// Polls `HEALTH` over the wire; records when degradation is visible
@@ -415,18 +382,6 @@ impl ShardChaosConfig {
             server: ServerConfig::default(),
         }
     }
-
-    fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            sets: self.sets,
-            ways: self.ways,
-            data_scheme: TwoDScheme::l1_paper(),
-            tag_scheme: TwoDScheme {
-                data_bits: 50,
-                ..TwoDScheme::l1_paper()
-            },
-        }
-    }
 }
 
 /// Result of one shard-kill chaos run. The invariants a caller must
@@ -444,7 +399,7 @@ pub struct ShardChaosReport {
     pub verified_reads: u64,
     /// Mid-run verified reads that disagreed — **must be zero**.
     pub wrong_reads: u64,
-    /// Slots answered [`ShardOutcome::ShardDown`] (expected nonzero:
+    /// Slots answered [`ShardDown`](super::ShardOutcome::ShardDown) (expected nonzero:
     /// the victim really was unreachable).
     pub shard_down_slots: u64,
     /// Writes acknowledged *while the victim was down* — **must be
@@ -481,11 +436,21 @@ pub struct ShardChaosReport {
 /// # Panics
 ///
 /// Panics if the loopback servers cannot be spawned (environment
-/// failure, not a chaos outcome).
+/// failure, not a chaos outcome), or if a pre-injection scrub finds
+/// damage it cannot correct.
 pub fn run_shard_chaos(cfg: &ShardChaosConfig) -> ShardChaosReport {
     const VICTIM: usize = 1;
     let caches: Vec<Arc<ConcurrentBankedCache>> = (0..2)
-        .map(|_| Arc::new(ConcurrentBankedCache::new(cfg.cache_config(), cfg.banks)))
+        .map(|_| {
+            Arc::new(ConcurrentBankedCache::new(
+                CacheConfig {
+                    sets: cfg.sets,
+                    ways: cfg.ways,
+                    ..CacheConfig::l1_64kb()
+                },
+                cfg.banks,
+            ))
+        })
         .collect();
     let mut servers: Vec<Option<CacheServer>> = caches
         .iter()
@@ -498,17 +463,23 @@ pub fn run_shard_chaos(cfg: &ShardChaosConfig) -> ShardChaosReport {
         .collect();
     // The address directory a real fleet would keep in service
     // discovery: clients poll it and re-point shards that moved.
-    let directory: Arc<Mutex<Vec<std::net::SocketAddr>>> = Arc::new(Mutex::new(
+    let directory: Mutex<Vec<std::net::SocketAddr>> = Mutex::new(
         servers
             .iter()
             .map(|s| s.as_ref().unwrap().local_addr())
             .collect(),
-    ));
-    let outage_active = Arc::new(AtomicBool::new(false));
-    // Fleet-wide completed-batch counter: the coordinator keys the kill
+    );
+    let current_addrs = || {
+        directory
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .clone()
+    };
+    let outage_active = AtomicBool::new(false);
+    // Fleet-wide started-batch counter: the coordinator keys the kill
     // and the restart off *traffic progress*, so the outage always
     // straddles live batches no matter how fast the machine is.
-    let progress = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let progress = AtomicU64::new(0);
     let total_batches = cfg.clients as u64 * cfg.batches_per_client;
     let progress_at = |fraction: f64| ((total_batches as f64) * fraction) as u64;
     let wait_progress = |target: u64| {
@@ -516,358 +487,96 @@ pub fn run_shard_chaos(cfg: &ShardChaosConfig) -> ShardChaosReport {
             std::thread::sleep(Duration::from_millis(1));
         }
     };
+    let ranks = ZipfSampler::new(cfg.key_ranks, 0.0);
+    let (banks, deck): (Vec<usize>, _) = ((0..cfg.banks).collect(), FaultScenario::storm_deck());
 
-    let mut report = ShardChaosReport::default();
-    let (tallies, injections, victim_restarted) = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.clients);
-        for t in 0..cfg.clients {
-            let cfg = cfg.clone();
-            let directory = Arc::clone(&directory);
-            let outage = Arc::clone(&outage_active);
-            let progress = Arc::clone(&progress);
-            handles.push(
-                scope.spawn(move || run_shard_client(t, &cfg, &directory, &outage, &progress)),
-            );
-        }
+    let clients = (0..cfg.clients)
+        .map(|_| ShardedClient::new(&current_addrs()))
+        .collect();
+    let stream = KeyStream {
+        ranks: &ranks,
+        write_fraction: cfg.write_fraction,
+        requests: cfg.batches_per_client * cfg.batch_depth as u64,
+        depth: cfg.batch_depth,
+        attempts: cfg.retry_attempts,
+        seed: cfg.seed ^ 0x5AA2_D000,
+    };
 
+    let (total, (injections, victim_restarted)) = std::thread::scope(|scope| {
         // Coordinator: wait for traffic to be flowing, kill the victim,
         // storm the survivor, then restart the victim on the same cache
         // at a fresh port once enough of the run has happened under the
         // outage.
-        wait_progress(progress_at(cfg.kill_at_fraction));
-        outage_active.store(true, Ordering::SeqCst);
-        if let Some(victim) = servers[VICTIM].take() {
-            victim.shutdown();
-        }
-        let survivor_cache = Arc::clone(&caches[1 - VICTIM]);
-        let injections = {
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0DD_BA11);
-            let (rows, cols) = {
-                let bank0 = survivor_cache.lock_bank(0);
-                (bank0.data_array().rows(), bank0.data_array().cols())
-            };
-            let vertical = cfg.cache_config().data_scheme.vertical_rows.min(rows);
-            let mut injected = 0u32;
-            for i in 0..cfg.storm_injections {
-                let bank = (i as usize) % survivor_cache.banks();
-                let _ = survivor_cache.scrub();
-                let height = rng.gen_range(1..=vertical.max(1).min(rows));
-                let width = rng.gen_range(1..=2usize.min(cols));
-                let row = rng.gen_range(0..=(rows - height));
-                let col = rng.gen_range(0..=(cols - width));
-                cache_inject(&survivor_cache, bank, row, col, height, width);
-                injected += 1;
-                std::thread::sleep(cfg.outage_hold / (cfg.storm_injections.max(1) * 2));
+        let coordinator = scope.spawn(|| {
+            wait_progress(progress_at(cfg.kill_at_fraction));
+            outage_active.store(true, Ordering::SeqCst);
+            if let Some(victim) = servers[VICTIM].take() {
+                victim.shutdown();
             }
-            injected
-        };
-        wait_progress(progress_at(cfg.restart_at_fraction));
-        let restarted =
-            CacheServer::spawn(Arc::clone(&caches[VICTIM]), None, "127.0.0.1:0", cfg.server)
-                .map(|server| {
-                    directory
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())[VICTIM] =
-                        server.local_addr();
-                    servers[VICTIM] = Some(server);
-                })
-                .is_ok();
-        outage_active.store(false, Ordering::SeqCst);
-
-        let tallies: Vec<ShardClientTally> = handles
-            .into_iter()
-            .map(|h| h.join().expect("shard chaos client panicked"))
-            .collect();
-        (tallies, injections, restarted)
+            let (count, seed) = (cfg.storm_injections as usize, cfg.seed ^ 0x0DD_BA11);
+            let pause = cfg.outage_hold / (cfg.storm_injections.max(1) * 2);
+            let survivor = &caches[1 - VICTIM];
+            let never = AtomicBool::new(false);
+            let injections = fire_storm(survivor, &banks, &deck, count, seed, pause, &never);
+            wait_progress(progress_at(cfg.restart_at_fraction));
+            let restarted =
+                CacheServer::spawn(Arc::clone(&caches[VICTIM]), None, "127.0.0.1:0", cfg.server)
+                    .map(|server| {
+                        directory
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())[VICTIM] =
+                            server.local_addr();
+                        servers[VICTIM] = Some(server);
+                    })
+                    .is_ok();
+            outage_active.store(false, Ordering::SeqCst);
+            (injections, restarted)
+        });
+        // Per batch: count progress, then re-point any shard whose
+        // published address moved (the restarted victim comes back on a
+        // new port); acks during the outage are marked.
+        let total = run_connections(clients, &stream, |_, client, _| {
+            progress.fetch_add(1, Ordering::Relaxed);
+            for (shard, addr) in current_addrs().into_iter().enumerate() {
+                if client.shard_addr(shard) != addr {
+                    client.set_shard_addr(shard, addr);
+                }
+            }
+            outage_active.load(Ordering::Relaxed)
+        });
+        (
+            total,
+            coordinator
+                .join()
+                .expect("shard chaos coordinator panicked"),
+        )
     });
 
-    for tally in &tallies {
-        report.ops += tally.ops;
-        report.acked_writes += tally.acked_writes;
-        report.verified_reads += tally.verified_reads;
-        report.wrong_reads += tally.wrong_reads;
-        report.shard_down_slots += tally.shard_down_slots;
-        report.survivor_acked_during_outage += tally.survivor_acked_during_outage;
-        report.gave_up += tally.gave_up;
-        report.faults += tally.faults;
-        report.reconnects += tally.reconnects;
-    }
-    report.injections = injections;
-    report.victim_restarted = victim_restarted;
+    let mut report = ShardChaosReport {
+        ops: total.ops,
+        acked_writes: total.acked_writes,
+        verified_reads: total.verified_reads,
+        wrong_reads: total.wrong_reads,
+        shard_down_slots: total.lost,
+        survivor_acked_during_outage: total.marked_acks,
+        gave_up: total.busy + total.degraded,
+        faults: total.faults,
+        reconnects: total.reconnects,
+        injections: injections as u32,
+        victim_restarted,
+        ..ShardChaosReport::default()
+    };
 
     // Final readback through a fresh sharded client over the final
     // directory: every acknowledged write must be recoverable now that
     // both shards are up (the victim kept its cache across restart).
-    let final_addrs = directory
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clone();
-    let mut readback = ShardedClient::new(&final_addrs);
-    let mut outcomes = Vec::new();
-    for tally in &tallies {
-        for (&key, &value) in &tally.model {
-            report.readback_checked += 1;
-            readback.pipeline_retry(
-                &[Request::Get { key }],
-                cfg.retry_attempts.max(16),
-                &mut outcomes,
-            );
-            match outcomes.first() {
-                Some(ShardOutcome::Response(Response::Value(v))) if *v == value => {}
-                _ => report.lost_acked_writes += 1,
-            }
-        }
-    }
+    let mut readback = ShardedClient::new(&current_addrs());
+    report.readback_checked = total.model.len() as u64;
+    report.lost_acked_writes = total.lost_acked_writes(&mut readback, cfg.retry_attempts.max(16));
 
     for server in servers.into_iter().flatten() {
         server.shutdown();
     }
     report.final_audit = caches.iter().all(|cache| cache.audit());
     report
-}
-
-/// Bounded-cluster injection helper shared with the storm loop.
-fn cache_inject(
-    cache: &ConcurrentBankedCache,
-    bank: usize,
-    row: usize,
-    col: usize,
-    height: usize,
-    width: usize,
-) {
-    cache.inject_bank_error(
-        bank,
-        ErrorShape::Cluster {
-            row,
-            col,
-            height,
-            width,
-        },
-    );
-}
-
-/// Per-sharded-client tally.
-#[derive(Default)]
-struct ShardClientTally {
-    ops: u64,
-    acked_writes: u64,
-    verified_reads: u64,
-    wrong_reads: u64,
-    shard_down_slots: u64,
-    survivor_acked_during_outage: u64,
-    gave_up: u64,
-    faults: u64,
-    reconnects: u64,
-    model: HashMap<u64, u64>,
-}
-
-/// One sharded chaos client: pipelined ownership-verified traffic
-/// through a [`ShardedClient`], refreshing shard addresses from the
-/// directory each batch (so a restarted victim heals mid-run), with
-/// transport-uncertain keys exempted from verification exactly like
-/// the single-server chaos client.
-fn run_shard_client(
-    t: usize,
-    cfg: &ShardChaosConfig,
-    directory: &Mutex<Vec<std::net::SocketAddr>>,
-    outage_active: &AtomicBool,
-    progress: &std::sync::atomic::AtomicU64,
-) -> ShardClientTally {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0x5AA2_D000 + t as u64));
-    let mut tally = ShardClientTally::default();
-    let addrs = directory
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clone();
-    let mut client = ShardedClient::new(&addrs);
-    let initial_dials = client.shard_count() as u64;
-    let mut uncertain: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut batch: Vec<Request> = Vec::with_capacity(cfg.batch_depth);
-    let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(cfg.batch_depth);
-    for _ in 0..cfg.batches_per_client {
-        // Directory refresh: re-point any shard whose published address
-        // moved (the restarted victim comes back on a new port).
-        {
-            let current = directory
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for (shard, &addr) in current.iter().enumerate() {
-                if client.shard_addr(shard) != addr {
-                    client.set_shard_addr(shard, addr);
-                }
-            }
-        }
-        batch.clear();
-        for _ in 0..cfg.batch_depth {
-            let rank = rng.gen_range(0..cfg.key_ranks);
-            let key = (rank as u64) * (cfg.clients as u64) + t as u64;
-            if rng.gen_bool(cfg.write_fraction) {
-                batch.push(Request::Set {
-                    key,
-                    value: rng.gen(),
-                });
-            } else {
-                batch.push(Request::Get { key });
-            }
-        }
-        let during_outage = outage_active.load(Ordering::Relaxed);
-        client.pipeline_retry(&batch, cfg.retry_attempts, &mut outcomes);
-        for (req, outcome) in batch.iter().zip(&outcomes) {
-            tally.ops += 1;
-            let resp = match outcome {
-                ShardOutcome::Response(resp) => resp,
-                ShardOutcome::ShardDown => {
-                    tally.shard_down_slots += 1;
-                    if let Request::Set { key, .. } = req {
-                        tally.model.remove(key);
-                        uncertain.insert(*key);
-                    }
-                    continue;
-                }
-            };
-            match (req, resp) {
-                (Request::Set { key, value }, Response::Ok) => {
-                    tally.acked_writes += 1;
-                    if during_outage {
-                        tally.survivor_acked_during_outage += 1;
-                    }
-                    uncertain.remove(key);
-                    tally.model.insert(*key, *value);
-                }
-                (Request::Get { key }, Response::Value(v)) if !uncertain.contains(key) => {
-                    if let Some(&expected) = tally.model.get(key) {
-                        tally.verified_reads += 1;
-                        if *v != expected {
-                            tally.wrong_reads += 1;
-                        }
-                    }
-                }
-                (_, Response::Busy { .. }) | (_, Response::Degraded { .. }) => {
-                    tally.gave_up += 1;
-                }
-                (_, Response::Fault) => tally.faults += 1,
-                _ => {}
-            }
-        }
-        progress.fetch_add(1, Ordering::Relaxed);
-    }
-    tally.reconnects = client.reconnects().saturating_sub(initial_dials);
-    tally
-}
-
-/// One chaos client: owned-partition writes with an acked-write model,
-/// shed-aware retries, forced kills + reconnects, and an immediate
-/// read-your-writes probe after every reconnect.
-fn run_client(t: usize, addr: std::net::SocketAddr, cfg: &NetChaosConfig) -> ClientTally {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0xDEAD_0000 + t as u64));
-    let mut tally = ClientTally::default();
-    let mut client = match NetClient::connect_with(addr, ClientConfig::default()) {
-        Ok(c) => c,
-        Err(_) => return tally,
-    };
-    for i in 0..cfg.ops_per_client {
-        // Forced kill: drop the socket abruptly mid-storm, reconnect,
-        // and immediately verify one previously acknowledged write.
-        if cfg.kill_every > 0 && i > 0 && i % cfg.kill_every == 0 {
-            if client.reconnect().is_err() {
-                return tally;
-            }
-            tally.reconnects += 1;
-            if let Some((&key, &value)) = tally.model.iter().next() {
-                tally.reconnect_readbacks += 1;
-                match client.get_retry(key, cfg.retry_attempts) {
-                    Ok(Response::Value(v)) => {
-                        tally.verified_reads += 1;
-                        if v != value {
-                            tally.wrong_reads += 1;
-                        }
-                    }
-                    Ok(Response::Busy { .. }) => tally.busy_sheds += 1,
-                    Ok(Response::Degraded { .. }) => tally.degraded_sheds += 1,
-                    Ok(Response::Fault) => tally.faults += 1,
-                    Ok(_) => {}
-                    Err(_) => {
-                        if client.reconnect().is_err() {
-                            return tally;
-                        }
-                        tally.reconnects += 1;
-                    }
-                }
-            }
-        }
-        let rank = rng.gen_range(0..cfg.key_ranks);
-        let key = (rank as u64) * (cfg.clients as u64) + t as u64;
-        if rng.gen_bool(cfg.write_fraction) {
-            let value: u64 = rng.gen();
-            match client.set_retry(key, value, cfg.retry_attempts) {
-                Ok(Response::Ok) => {
-                    tally.ops += 1;
-                    tally.acked_writes += 1;
-                    tally.model.insert(key, value);
-                }
-                Ok(Response::Busy { .. }) => {
-                    tally.ops += 1;
-                    tally.busy_sheds += 1;
-                    tally.gave_up += 1;
-                }
-                Ok(Response::Degraded { .. }) => {
-                    tally.ops += 1;
-                    tally.degraded_sheds += 1;
-                    tally.gave_up += 1;
-                }
-                Ok(Response::Fault) => {
-                    tally.ops += 1;
-                    tally.faults += 1;
-                    // The write was *not* acknowledged; its key keeps
-                    // its previous model entry (if any): an earlier
-                    // acked value must still be servable post-recovery.
-                }
-                Ok(_) => tally.ops += 1,
-                Err(_) => {
-                    // Transport loss: commit status unknown — drop the
-                    // key from the model (no false expectations either
-                    // way), reconnect, continue.
-                    tally.model.remove(&key);
-                    if client.reconnect().is_err() {
-                        return tally;
-                    }
-                    tally.reconnects += 1;
-                }
-            }
-        } else {
-            match client.get_retry(key, cfg.retry_attempts) {
-                Ok(Response::Value(v)) => {
-                    tally.ops += 1;
-                    if let Some(&expected) = tally.model.get(&key) {
-                        tally.verified_reads += 1;
-                        if v != expected {
-                            tally.wrong_reads += 1;
-                        }
-                    }
-                }
-                Ok(Response::Busy { .. }) => {
-                    tally.ops += 1;
-                    tally.busy_sheds += 1;
-                    tally.gave_up += 1;
-                }
-                Ok(Response::Degraded { .. }) => {
-                    tally.ops += 1;
-                    tally.degraded_sheds += 1;
-                    tally.gave_up += 1;
-                }
-                Ok(Response::Fault) => {
-                    tally.ops += 1;
-                    tally.faults += 1;
-                }
-                Ok(_) => tally.ops += 1,
-                Err(_) => {
-                    if client.reconnect().is_err() {
-                        return tally;
-                    }
-                    tally.reconnects += 1;
-                }
-            }
-        }
-    }
-    tally
 }

@@ -52,6 +52,7 @@ pub struct NetClient {
     next_id: u32,
     payload: Vec<u8>,
     out: Vec<u8>,
+    reconnects: u64,
 }
 
 impl NetClient {
@@ -84,6 +85,7 @@ impl NetClient {
             next_id: 1,
             payload: Vec::new(),
             out: Vec::new(),
+            reconnects: 0,
         })
     }
 
@@ -101,8 +103,15 @@ impl NetClient {
     /// [`ServerError::Io`] if the reconnect fails.
     pub fn reconnect(&mut self) -> Result<(), ServerError> {
         let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+        let reconnects = self.reconnects + 1;
         *self = NetClient::connect_with(self.addr, self.cfg)?;
+        self.reconnects = reconnects;
         Ok(())
+    }
+
+    /// Successful [`NetClient::reconnect`]s over this client's life.
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects
     }
 
     fn fresh_id(&mut self) -> u32 {

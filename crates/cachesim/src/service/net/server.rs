@@ -24,11 +24,12 @@
 //!
 //! # Degraded mode
 //!
-//! A bank enters the degraded window when the health monitor observes
-//! new error events on it (inline corrections, recoveries, scrub
-//! finds), when a handler's operation on it exceeds
-//! [`ServerConfig::slow_op_threshold`] (a recovery ran inline), or when
-//! an operation returns an uncorrectable `EngineError`. The window
+//! A bank enters the degraded window only on engine evidence: when the
+//! health monitor observes new error events on it (inline corrections,
+//! recoveries, scrub finds), or when an operation returns an
+//! uncorrectable `EngineError`. How long a handler waited for or held
+//! the bank lock is not evidence — a preempted holder or a scrub slice
+//! ahead in the queue delays a fault-free bank too. The window
 //! extends [`ServerConfig::degraded_window`] past the last trigger;
 //! while it is open, requests routed to the bank are shed with a
 //! `DEGRADED` response carrying the remaining window as its retry-after
@@ -43,7 +44,7 @@
 //! reusable [`BatchArena`] — single ops and `GET_MULTI`/`SET_MULTI`
 //! items alike. Admission runs once per bank *group* (slots reserved in
 //! bulk, sheds decided per item), the cache executes the whole batch via
-//! [`ConcurrentBankedCache::execute_batch_observed`] (at most one bank
+//! [`ConcurrentBankedCache::execute_batch`] (at most one bank
 //! lock per group, optimistic reads still per-op), and all responses go
 //! out in one buffered write + flush. The arena and the connection's
 //! `payload`/`out` buffers are reused across batches, so the clean
@@ -87,9 +88,6 @@ pub struct ServerConfig {
     /// Cadence of the background health monitor that watches per-bank
     /// observed-error counters.
     pub monitor_interval: Duration,
-    /// A single cache operation taking longer than this marks its bank
-    /// degraded (an inline recovery ran).
-    pub slow_op_threshold: Duration,
     /// Hard cap on simultaneously open connections; accepts beyond it
     /// are closed immediately.
     pub max_connections: usize,
@@ -105,7 +103,6 @@ impl Default for ServerConfig {
             degraded_window: Duration::from_millis(20),
             retry_after: Duration::from_millis(5),
             monitor_interval: Duration::from_millis(2),
-            slow_op_threshold: Duration::from_millis(5),
             max_connections: 1024,
         }
     }
@@ -1038,9 +1035,7 @@ fn execute_arena(shared: &Shared, arena: &mut BatchArena, out: &mut Vec<u8>) {
         }
     }
     // Execute the whole admitted batch; the RAII release returns every
-    // reserved slot even if the engine panics. The observer hook is the
-    // batch-era slow-op detector: a bank group whose guard was held
-    // past the threshold ran an inline recovery, so the bank degrades.
+    // reserved slot even if the engine panics.
     {
         let BatchArena {
             core_ops,
@@ -1052,13 +1047,7 @@ fn execute_arena(shared: &Shared, arena: &mut BatchArena, out: &mut Vec<u8>) {
             gates: &shared.gates,
             admitted,
         };
-        shared
-            .cache
-            .execute_batch_observed(core_ops, outcomes, |bank, held| {
-                if held >= shared.cfg.slow_op_threshold {
-                    shared.mark_degraded(bank);
-                }
-            });
+        shared.cache.execute_batch(core_ops, outcomes);
     }
     // Uncorrectable damage observed by the batch opens the owning
     // bank's degraded window, exactly like the scalar path did.

@@ -23,7 +23,7 @@
 //! without explicit reconnect calls.
 
 use super::client::{ClientConfig, NetClient};
-use super::protocol::{ItemOutcome, Request, Response, ServerError};
+use super::protocol::{Request, Response};
 use std::net::SocketAddr;
 
 /// Splitmix64 finalizer: a full-avalanche 64-bit mixer (every input
@@ -91,10 +91,6 @@ pub struct ShardedClient {
     split_slots: Vec<Vec<usize>>,
     /// Scratch: per shard, its slice of the logical batch.
     split_reqs: Vec<Request>,
-    /// Scratch: multi-op splits.
-    split_keys: Vec<u64>,
-    split_items: Vec<(u64, u64)>,
-    split_out: Vec<ItemOutcome>,
     reconnects: u64,
 }
 
@@ -128,9 +124,6 @@ impl ShardedClient {
             cfg,
             split_slots: vec![Vec::new(); addrs.len()],
             split_reqs: Vec::new(),
-            split_keys: Vec::new(),
-            split_items: Vec::new(),
-            split_out: Vec::new(),
             reconnects: 0,
         }
     }
@@ -206,7 +199,7 @@ impl ShardedClient {
     /// (that connection is dropped for lazy re-dial) while every other
     /// shard's slots are served normally.
     pub fn pipeline(&mut self, reqs: &[Request], out: &mut Vec<ShardOutcome>) {
-        self.pipeline_inner(reqs, out, 1);
+        self.pipeline_retry(reqs, 1, out);
     }
 
     /// [`ShardedClient::pipeline`] with shed-aware retries, honored
@@ -215,10 +208,6 @@ impl ShardedClient {
     /// [`NetClient::pipeline_retry`]), so one backlogged shard never
     /// delays or reorders the answers of its healthy siblings.
     pub fn pipeline_retry(&mut self, reqs: &[Request], attempts: u32, out: &mut Vec<ShardOutcome>) {
-        self.pipeline_inner(reqs, out, attempts.max(1));
-    }
-
-    fn pipeline_inner(&mut self, reqs: &[Request], out: &mut Vec<ShardOutcome>, attempts: u32) {
         out.clear();
         out.resize(reqs.len(), ShardOutcome::ShardDown);
         for slots in &mut self.split_slots {
@@ -241,13 +230,7 @@ impl ShardedClient {
                 shard_reqs.push(reqs[slot]);
             }
             let result = match self.conn(shard) {
-                Some(conn) => {
-                    if attempts > 1 {
-                        conn.pipeline_retry(&shard_reqs, attempts)
-                    } else {
-                        conn.pipeline(&shard_reqs)
-                    }
-                }
+                Some(conn) => conn.pipeline_retry(&shard_reqs, attempts),
                 None => continue, // slots stay ShardDown
             };
             match result {
@@ -265,127 +248,6 @@ impl ShardedClient {
             }
         }
         self.split_reqs = shard_reqs;
-    }
-
-    /// Fetches many keys with one `GET_MULTI` frame per involved
-    /// shard. `out` is cleared and filled with exactly `keys.len()`
-    /// entries in key order; `None` marks a key owned by an
-    /// unreachable shard.
-    pub fn get_multi(&mut self, keys: &[u64], out: &mut Vec<Option<ItemOutcome>>) {
-        out.clear();
-        out.resize(keys.len(), None);
-        for slots in &mut self.split_slots {
-            slots.clear();
-        }
-        for (i, &key) in keys.iter().enumerate() {
-            let shard = self.shard_of(key);
-            self.split_slots[shard].push(i);
-        }
-        for shard in 0..self.shards.len() {
-            if self.split_slots[shard].is_empty() {
-                continue;
-            }
-            self.split_keys.clear();
-            for &slot in &self.split_slots[shard] {
-                self.split_keys.push(keys[slot]);
-            }
-            // Scratch moves out so its borrow is independent of the
-            // mutable connection borrow, and back after the call.
-            let shard_keys = std::mem::take(&mut self.split_keys);
-            let mut shard_out = std::mem::take(&mut self.split_out);
-            let result = self
-                .conn(shard)
-                .map(|conn| conn.get_multi(&shard_keys, &mut shard_out));
-            match result {
-                Some(Ok(())) => {
-                    for (&slot, &item) in self.split_slots[shard].iter().zip(&shard_out) {
-                        out[slot] = Some(item);
-                    }
-                }
-                Some(Err(_)) => self.shards[shard].conn = None,
-                None => {} // slots stay None: shard down
-            }
-            self.split_keys = shard_keys;
-            self.split_out = shard_out;
-        }
-    }
-
-    /// Writes many key/value pairs with one `SET_MULTI` frame per
-    /// involved shard; semantics as [`ShardedClient::get_multi`].
-    pub fn set_multi(&mut self, items: &[(u64, u64)], out: &mut Vec<Option<ItemOutcome>>) {
-        out.clear();
-        out.resize(items.len(), None);
-        for slots in &mut self.split_slots {
-            slots.clear();
-        }
-        for (i, &(key, _)) in items.iter().enumerate() {
-            let shard = self.shard_of(key);
-            self.split_slots[shard].push(i);
-        }
-        for shard in 0..self.shards.len() {
-            if self.split_slots[shard].is_empty() {
-                continue;
-            }
-            self.split_items.clear();
-            for &slot in &self.split_slots[shard] {
-                self.split_items.push(items[slot]);
-            }
-            let shard_items = std::mem::take(&mut self.split_items);
-            let mut shard_out = std::mem::take(&mut self.split_out);
-            let result = self
-                .conn(shard)
-                .map(|conn| conn.set_multi(&shard_items, &mut shard_out));
-            match result {
-                Some(Ok(())) => {
-                    for (&slot, &item) in self.split_slots[shard].iter().zip(&shard_out) {
-                        out[slot] = Some(item);
-                    }
-                }
-                Some(Err(_)) => self.shards[shard].conn = None,
-                None => {}
-            }
-            self.split_items = shard_items;
-            self.split_out = shard_out;
-        }
-    }
-
-    /// Convenience single-key `GET` through the shard router.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Closed`] when the owning shard is unreachable;
-    /// otherwise as [`NetClient::request`].
-    pub fn get(&mut self, key: u64) -> Result<Response, ServerError> {
-        let shard = self.shard_of(key);
-        let Some(conn) = self.conn(shard) else {
-            return Err(ServerError::Closed);
-        };
-        match conn.request(&Request::Get { key }) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.shards[shard].conn = None;
-                Err(e)
-            }
-        }
-    }
-
-    /// Convenience single-key `SET` through the shard router.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedClient::get`].
-    pub fn set(&mut self, key: u64, value: u64) -> Result<Response, ServerError> {
-        let shard = self.shard_of(key);
-        let Some(conn) = self.conn(shard) else {
-            return Err(ServerError::Closed);
-        };
-        match conn.request(&Request::Set { key, value }) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.shards[shard].conn = None;
-                Err(e)
-            }
-        }
     }
 }
 

@@ -14,7 +14,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use twod_cache::{CacheConfig, ConcurrentBankedCache, TwoDScheme};
+use twod_cache::{CacheConfig, ConcurrentBankedCache};
 
 const BANKS: usize = 4;
 
@@ -24,11 +24,7 @@ fn spawn_server() -> (CacheServer, Arc<ConcurrentBankedCache>) {
     let config = CacheConfig {
         sets: 16,
         ways: 2,
-        data_scheme: TwoDScheme::l1_paper(),
-        tag_scheme: TwoDScheme {
-            data_bits: 50,
-            ..TwoDScheme::l1_paper()
-        },
+        ..CacheConfig::l1_64kb()
     };
     let cache = Arc::new(ConcurrentBankedCache::new(config, BANKS));
     let server = CacheServer::spawn(
@@ -150,6 +146,38 @@ fn quarantined_bank_sheds_with_hint_while_others_serve() {
 }
 
 #[test]
+fn waiting_for_a_bank_lock_does_not_degrade_a_fault_free_bank() {
+    // A SET queues behind bank 0's guard for 20 ms — as it would behind
+    // a scrub slice or a preempted sibling handler. Lock wait is not
+    // engine evidence: no fault was injected, so the bank must stay
+    // healthy and the next request must be served.
+    let (server, cache) = spawn_server();
+    let addr = server.local_addr();
+    let key = key_on_bank(&cache, 0, 1);
+    let guard = cache.lock_bank(0);
+    let writer = std::thread::spawn(move || {
+        let mut client = NetClient::connect(addr).expect("connect");
+        let resp = client.request(&Request::Set { key, value: 42 });
+        (client, resp)
+    });
+    while server.stats().connections_accepted == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    drop(guard);
+    let (mut client, resp) = writer.join().expect("writer thread");
+    assert_eq!(resp.expect("set answered"), Response::Ok);
+    assert_eq!(
+        client.request(&Request::Get { key }).expect("get answered"),
+        Response::Value(42),
+        "a fault-free bank was shed after a lock wait"
+    );
+    assert_eq!(client.health().expect("health").degraded_banks(), 0);
+    assert_eq!(server.stats().degraded_sheds, 0);
+    server.shutdown();
+}
+
+#[test]
 fn health_and_scrub_stats_over_the_wire() {
     let (server, _cache) = spawn_server();
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
@@ -262,11 +290,7 @@ fn busy_shedding_retries_resolve_in_order() {
     let config = CacheConfig {
         sets: 16,
         ways: 2,
-        data_scheme: TwoDScheme::l1_paper(),
-        tag_scheme: TwoDScheme {
-            data_bits: 50,
-            ..TwoDScheme::l1_paper()
-        },
+        ..CacheConfig::l1_64kb()
     };
     let cache = Arc::new(ConcurrentBankedCache::new(config, BANKS));
     let server = CacheServer::spawn(

@@ -14,7 +14,7 @@
 use cachesim::net::{protocol, rendezvous_shard};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
-use twod_cache::{CacheConfig, ConcurrentBankedCache, TwoDScheme};
+use twod_cache::{CacheConfig, ConcurrentBankedCache};
 
 /// Chi-square goodness-of-fit statistic against a uniform expectation.
 fn chi_square(counts: &[u64], total: u64) -> f64 {
@@ -76,11 +76,7 @@ fn route_key_spreads_keys_uniformly_across_banks() {
         CacheConfig {
             sets: 64,
             ways: 4,
-            data_scheme: TwoDScheme::l1_paper(),
-            tag_scheme: TwoDScheme {
-                data_bits: 50,
-                ..TwoDScheme::l1_paper()
-            },
+            ..CacheConfig::l1_64kb()
         },
         BANKS,
     ));
@@ -122,11 +118,7 @@ fn shard_and_bank_routing_do_not_correlate() {
         CacheConfig {
             sets: 64,
             ways: 4,
-            data_scheme: TwoDScheme::l1_paper(),
-            tag_scheme: TwoDScheme {
-                data_bits: 50,
-                ..TwoDScheme::l1_paper()
-            },
+            ..CacheConfig::l1_64kb()
         },
         BANKS,
     ));

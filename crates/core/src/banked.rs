@@ -152,18 +152,13 @@ impl fmt::Debug for BankedProtectedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TwoDScheme;
 
     fn small_banked(banks: usize) -> BankedProtectedCache {
         BankedProtectedCache::new(
             CacheConfig {
                 sets: 16,
                 ways: 2,
-                data_scheme: TwoDScheme::l1_paper(),
-                tag_scheme: TwoDScheme {
-                    data_bits: 50,
-                    ..TwoDScheme::l1_paper()
-                },
+                ..CacheConfig::l1_64kb()
             },
             banks,
         )

@@ -489,24 +489,14 @@ impl ConcurrentBankedCache {
     /// under the guard the write forced. Ops on different banks target
     /// different addresses, so executing bank groups in bank order (not
     /// arrival order) is unobservable. See docs/CONCURRENCY.md.
-    ///
-    /// `observe` is called once per bank group that actually took the
-    /// lock, with the bank index and the time spent holding the guard —
-    /// the hook the server's slow-op degraded-mode detection uses.
-    pub fn execute_batch_observed<F>(
-        &self,
-        ops: &[BatchOp],
-        out: &mut Vec<BatchOutcome>,
-        observe: F,
-    ) where
-        F: FnMut(usize, std::time::Duration),
-    {
-        let mut observe = observe;
+    // Inlinable into the server's batch path across the crate boundary,
+    // as the generic version it replaced was.
+    #[inline]
+    pub fn execute_batch(&self, ops: &[BatchOp], out: &mut Vec<BatchOutcome>) {
         out.clear();
         out.resize(ops.len(), BatchOutcome::Written);
         for bank_idx in 0..self.banks.len() {
             let mut guard: Option<BankGuard<'_>> = None;
-            let mut entered = None;
             for (i, op) in ops.iter().enumerate() {
                 if self.bank_of(op.addr()) != bank_idx {
                     continue;
@@ -520,20 +510,14 @@ impl ConcurrentBankedCache {
                                 continue;
                             }
                         }
-                        let g = guard.get_or_insert_with(|| {
-                            entered = Some(std::time::Instant::now());
-                            self.lock_bank(bank_idx)
-                        });
+                        let g = guard.get_or_insert_with(|| self.lock_bank(bank_idx));
                         out[i] = match g.read(local) {
                             Ok(value) => BatchOutcome::Value(value),
                             Err(e) => BatchOutcome::Failed(e),
                         };
                     }
                     BatchOp::Write(_, value) => {
-                        let g = guard.get_or_insert_with(|| {
-                            entered = Some(std::time::Instant::now());
-                            self.lock_bank(bank_idx)
-                        });
+                        let g = guard.get_or_insert_with(|| self.lock_bank(bank_idx));
                         out[i] = match g.write(local, value) {
                             Ok(()) => BatchOutcome::Written,
                             Err(e) => BatchOutcome::Failed(e),
@@ -541,18 +525,7 @@ impl ConcurrentBankedCache {
                     }
                 }
             }
-            if let Some(g) = guard {
-                let held = entered.expect("guard implies entry timestamp").elapsed();
-                drop(g);
-                observe(bank_idx, held);
-            }
         }
-    }
-
-    /// [`Self::execute_batch_observed`] without the per-bank-group
-    /// timing hook.
-    pub fn execute_batch(&self, ops: &[BatchOp], out: &mut Vec<BatchOutcome>) {
-        self.execute_batch_observed(ops, out, |_, _| {});
     }
 
     /// Batched read of many (possibly bank-interleaved) addresses:
@@ -761,7 +734,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TwoDScheme;
     use std::thread;
 
     fn small_concurrent(banks: usize) -> ConcurrentBankedCache {
@@ -769,11 +741,7 @@ mod tests {
             CacheConfig {
                 sets: 16,
                 ways: 2,
-                data_scheme: TwoDScheme::l1_paper(),
-                tag_scheme: TwoDScheme {
-                    data_bits: 50,
-                    ..TwoDScheme::l1_paper()
-                },
+                ..CacheConfig::l1_64kb()
             },
             banks,
         )
@@ -985,23 +953,6 @@ mod tests {
                 BatchOutcome::Value(0),
             ]
         );
-    }
-
-    #[test]
-    fn batch_observer_fires_once_per_locked_bank_group() {
-        let c = small_concurrent(4);
-        // 8 writes over 2 banks plus one optimistic-eligible read.
-        for i in 0..8u64 {
-            c.write(i * 64, i).unwrap();
-        }
-        let ops: Vec<BatchOp> = (0..8u64)
-            .map(|i| BatchOp::Write((i % 2) * 64, i))
-            .chain(std::iter::once(BatchOp::Read(2 * 64)))
-            .collect();
-        let mut out = Vec::new();
-        let mut observed = Vec::new();
-        c.execute_batch_observed(&ops, &mut out, |bank, _| observed.push(bank));
-        assert_eq!(observed, vec![0, 1], "one observation per locked bank");
     }
 
     #[test]

@@ -522,7 +522,7 @@ fn worker_loop(shared: &Shared, index: usize, workers: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheConfig, TwoDScheme};
+    use crate::CacheConfig;
     use memarray::ErrorShape;
     use std::time::Duration;
 
@@ -531,11 +531,7 @@ mod tests {
             CacheConfig {
                 sets: 16,
                 ways: 2,
-                data_scheme: TwoDScheme::l1_paper(),
-                tag_scheme: TwoDScheme {
-                    data_bits: 50,
-                    ..TwoDScheme::l1_paper()
-                },
+                ..CacheConfig::l1_64kb()
             },
             banks,
         ))

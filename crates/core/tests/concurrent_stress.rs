@@ -18,19 +18,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::thread;
 use twod_cache::{
-    BankedProtectedCache, CacheConfig, ConcurrentBankedCache, ProtectedCache, TwoDScheme,
-    LINE_BYTES,
+    BankedProtectedCache, CacheConfig, ConcurrentBankedCache, ProtectedCache, LINE_BYTES,
 };
 
 fn config() -> CacheConfig {
     CacheConfig {
         sets: 16,
         ways: 2,
-        data_scheme: TwoDScheme::l1_paper(),
-        tag_scheme: TwoDScheme {
-            data_bits: 50,
-            ..TwoDScheme::l1_paper()
-        },
+        ..CacheConfig::l1_64kb()
     }
 }
 

@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
-use twod_cache::{CacheConfig, ConcurrentBankedCache, TwoDScheme};
+use twod_cache::{CacheConfig, ConcurrentBankedCache};
 
 /// The shared 16-set 2-way geometry the concurrency unit tests use:
 /// small enough that recovery marches are fast, large enough that a
@@ -30,11 +30,7 @@ fn small_concurrent(banks: usize) -> ConcurrentBankedCache {
         CacheConfig {
             sets: 16,
             ways: 2,
-            data_scheme: TwoDScheme::l1_paper(),
-            tag_scheme: TwoDScheme {
-                data_bits: 50,
-                ..TwoDScheme::l1_paper()
-            },
+            ..CacheConfig::l1_64kb()
         },
         banks,
     )

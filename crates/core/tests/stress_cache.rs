@@ -14,7 +14,7 @@ fn build(sets: usize, ways: usize, scheme: TwoDScheme) -> ProtectedCache {
         ways,
         data_scheme: scheme,
         tag_scheme: TwoDScheme {
-            data_bits: 50,
+            data_bits: CacheConfig::l1_64kb().tag_scheme.data_bits,
             ..scheme
         },
     })

@@ -3,14 +3,16 @@
 //! Builds an 8-bank 2D-protected cache behind the lock-per-bank
 //! [`ConcurrentBankedCache`] frontend, then drives it with seeded Zipf
 //! traffic at increasing thread counts — first clean, then with a
-//! concurrent fault storm injecting 16x16 clustered errors into live
+//! concurrent fault storm injecting 16x16 rectangular bursts into live
 //! banks while the workers keep serving.
 //!
 //! ```text
 //! cargo run --release --example concurrent_service
 //! ```
 
-use cachesim::{run_traffic, run_traffic_with_storm, AccessPattern, FaultStorm, TrafficConfig};
+use cachesim::{
+    run_traffic, run_traffic_with_storm, AccessPattern, FaultScenario, FaultStorm, TrafficConfig,
+};
 use twod_cache::{CacheConfig, ConcurrentBankedCache};
 
 fn main() {
@@ -65,7 +67,10 @@ fn main() {
     let storm = FaultStorm {
         banks: vec![2, 5],
         injections: 12,
-        cluster: (16, 16),
+        scenario: FaultScenario::Rect {
+            height: 16,
+            width: 16,
+        },
         seed: 1234,
     };
     let report = run_traffic_with_storm(&cache, &cfg, Some(&storm));

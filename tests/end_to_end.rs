@@ -45,11 +45,7 @@ fn cache_workload_with_interleaved_faults() {
     let mut cache = ProtectedCache::new(CacheConfig {
         sets: 32,
         ways: 2,
-        data_scheme: TwoDScheme::l1_paper(),
-        tag_scheme: TwoDScheme {
-            data_bits: 50,
-            ..TwoDScheme::l1_paper()
-        },
+        ..CacheConfig::l1_64kb()
     });
     let mut shadow = std::collections::HashMap::new();
     for batch in 0..6 {
@@ -87,7 +83,7 @@ fn yield_mode_cache_absorbs_hard_errors() {
         ways: 2,
         data_scheme: TwoDScheme::yield_mode(),
         tag_scheme: TwoDScheme {
-            data_bits: 50,
+            data_bits: CacheConfig::l1_64kb().tag_scheme.data_bits,
             ..TwoDScheme::yield_mode()
         },
     });
